@@ -9,8 +9,9 @@ import "math/rand"
 type FaultClass string
 
 const (
-	// FaultTraceBit flips one bit of a packed trace record — detected by
-	// the trace checksum (emu.ChecksumRecs / harness trace cache).
+	// FaultTraceBit flips one bit of a packed trace record — detected
+	// with certainty by the trace checksum (emu.ChecksumRecs, a wordsum
+	// whose lane steps are bijections of each 64-bit word).
 	FaultTraceBit FaultClass = "trace-bit"
 	// FaultSboxCache perturbs SBox-cache state (valid bits without a tag,
 	// misaligned tag) — detected by the "sbox-cache" checker.
@@ -19,8 +20,9 @@ const (
 	// by the "rob-entry" / "scoreboard" checkers.
 	FaultROBEntry FaultClass = "rob-entry"
 	// FaultCachedTrace corrupts a retained trace-cache entry in place —
-	// detected by the checksum-on-replay path, which evicts and
-	// re-records (TraceCacheStats.ChecksumEvictions).
+	// detected by the checksum the trace cache verifies on every stream
+	// and traceFor request, which evicts and re-records
+	// (TraceCacheStats.ChecksumEvictions).
 	FaultCachedTrace FaultClass = "cached-trace"
 )
 

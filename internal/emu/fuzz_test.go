@@ -109,38 +109,3 @@ func FuzzPackRoundTrip(f *testing.F) {
 		}
 	})
 }
-
-// TestChecksumRecs pins the checksum's sensitivity: any single-bit flip
-// in any record field changes the FNV-1a sum, and equal traces agree.
-func TestChecksumRecs(t *testing.T) {
-	recs := []TraceRec{
-		{Addr: 0x20000, Idx: 1},
-		{Addr: 0, Idx: 3, Br: 7},
-		{Addr: 0x300010, Idx: 2},
-	}
-	sum := ChecksumRecs(recs)
-	cp := append([]TraceRec(nil), recs...)
-	if ChecksumRecs(cp) != sum {
-		t.Fatal("checksum differs between equal traces")
-	}
-	in := check.NewInjector(42)
-	for trial := 0; trial < 64; trial++ {
-		i := in.Intn(len(cp))
-		switch in.Intn(3) {
-		case 0:
-			cp[i].Addr, _ = in.FlipBit64(cp[i].Addr)
-		case 1:
-			v, _ := in.FlipBit64(uint64(cp[i].Idx) | uint64(cp[i].Br)<<32)
-			cp[i].Idx, cp[i].Br = uint32(v), uint32(v>>32)
-		case 2:
-			cp[i].Br ^= 1 << uint(in.Intn(32))
-		}
-		if ChecksumRecs(cp) == sum {
-			t.Fatalf("trial %d: bit flip not reflected in checksum", trial)
-		}
-		copy(cp, recs) // restore
-	}
-	if ChecksumRecs(nil) != ChecksumRecs([]TraceRec{}) {
-		t.Fatal("empty-trace checksums disagree")
-	}
-}

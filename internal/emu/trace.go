@@ -5,6 +5,7 @@ import (
 
 	"cryptoarch/internal/check"
 	"cryptoarch/internal/isa"
+	"cryptoarch/internal/wordsum"
 )
 
 // This file is the record/replay layer between the functional emulator and
@@ -48,30 +49,28 @@ type Trace struct {
 // Bytes is the retained size of the packed records.
 func (t *Trace) Bytes() int { return TraceRecBytes * len(t.Recs) }
 
-// FNV-1a 64-bit parameters.
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-// ChecksumRecs computes the FNV-1a 64-bit checksum of the packed records,
-// hashing the 16-byte little-endian encoding of each record. The trace
-// cache stores this at record time and re-verifies it on every replay
-// request, so a bit flipped in a retained trace (memory corruption, a
-// stray write through a stale slice) is caught before it silently skews a
-// timing run.
+// ChecksumRecs computes the wordsum checksum of the packed records: per
+// record, Addr then Idx|Br<<32, each as one 64-bit word. That is the word
+// sequence of the store's little-endian trace payload, so the sum equals
+// wordsum.Bytes of that payload. The trace cache stores this at record
+// time and re-verifies it on every replay request, so a bit flipped in a
+// retained trace (memory corruption, a stray write through a stale slice)
+// is caught before it silently skews a timing run. A change confined to
+// one of a record's two words is always detected (see package wordsum).
 func ChecksumRecs(recs []TraceRec) uint64 {
-	h := fnvOffset
-	for i := range recs {
-		r := &recs[i]
-		for _, w := range [2]uint64{r.Addr, uint64(r.Idx) | uint64(r.Br)<<32} {
-			for b := 0; b < 8; b++ {
-				h ^= w >> (8 * b) & 0xff
-				h *= fnvPrime
-			}
-		}
+	n := uint64(len(recs)) * TraceRecBytes
+	s := wordsum.New()
+	for len(recs) >= 2 {
+		r0, r1 := &recs[0], &recs[1]
+		s = s.Block(r0.Addr, uint64(r0.Idx)|uint64(r0.Br)<<32,
+			r1.Addr, uint64(r1.Idx)|uint64(r1.Br)<<32)
+		recs = recs[2:]
 	}
-	return h
+	if len(recs) == 1 {
+		r := &recs[0]
+		s = s.Word(0, r.Addr).Word(1, uint64(r.Idx)|uint64(r.Br)<<32)
+	}
+	return s.Sum(n)
 }
 
 // Checksum is ChecksumRecs over the trace's records.

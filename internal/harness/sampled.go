@@ -54,9 +54,12 @@ type SampleReport struct {
 	SampledInsts  uint64  `json:"sampled_insts"`
 	Coverage      float64 `json:"coverage"` // SampledInsts / TotalInsts
 	// RelErrBound is the measured dispersion bound on the extrapolated
-	// cycle count: 2*sd/(sqrt(K)*mean) over the per-interval CPIs — two
-	// standard errors of the mean, relative. Zero when K < 2 or when the
-	// run was exact.
+	// cycle count: t*sd/(sqrt(K)*mean) over the per-interval CPIs, where t
+	// is the two-sided 95% Student-t quantile for K-1 degrees of freedom
+	// (3.182 at K=4, 2.365 at K=8) — the half-width of a 95% confidence
+	// interval on the mean CPI, relative. It covers interval-to-interval
+	// dispersion only, not warmup bias. Zero when K < 2 or when the run
+	// was exact.
 	RelErrBound float64 `json:"rel_err_bound"`
 	// Exact is set when sampling would have covered the whole session (or
 	// the trace could not be addressed), so the serial exact path ran
@@ -251,8 +254,8 @@ func extrapolate(sum *ooo.Stats, cpis []float64, totalInsts uint64, cfg ooo.Conf
 		est.Stalls[largest] += want - got // two's-complement safe either sign
 	}
 
-	// Dispersion bound: two relative standard errors of the per-interval
-	// CPI mean.
+	// Dispersion bound: the relative half-width of a 95% Student-t
+	// confidence interval on the per-interval CPI mean.
 	bound := 0.0
 	if len(cpis) >= 2 {
 		var mean float64
@@ -267,7 +270,7 @@ func extrapolate(sum *ooo.Stats, cpis []float64, totalInsts uint64, cfg ooo.Conf
 		}
 		sd := math.Sqrt(varsum / float64(len(cpis)-1))
 		if mean > 0 {
-			bound = 2 * sd / (math.Sqrt(float64(len(cpis))) * mean)
+			bound = tQuantile95(len(cpis)-1) * sd / (math.Sqrt(float64(len(cpis))) * mean)
 		}
 	}
 
@@ -277,4 +280,20 @@ func extrapolate(sum *ooo.Stats, cpis []float64, totalInsts uint64, cfg ooo.Conf
 		Coverage:     float64(sampled) / float64(totalInsts),
 		RelErrBound:  bound,
 	}
+}
+
+// t95 holds the two-sided 95% Student-t quantiles t(0.975, df) for df =
+// 1..30.
+var t95 = [...]float64{
+	12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
+	2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
+	2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
+}
+
+// tQuantile95 returns the two-sided 95% Student-t quantile for df >= 1
+// degrees of freedom. Beyond the table it returns the df=30 value, which
+// exceeds the exact quantile by at most 4% (1.960 in the limit), so the
+// bound errs on the wide side.
+func tQuantile95(df int) float64 {
+	return t95[min(df, len(t95))-1]
 }

@@ -48,7 +48,7 @@ type traceEntry struct {
 	once sync.Once
 
 	tr      *emu.Trace // complete trace; nil if oversized or errored
-	sum     uint64     // FNV-1a checksum of tr.Recs at record time
+	sum     uint64     // emu.ChecksumRecs of tr.Recs at record time
 	codeLen int        // static code length (for I-cache warming)
 	err     error
 
@@ -62,8 +62,7 @@ type traceEntry struct {
 	// hit/miss classification counts it as a hit.
 	fromStore bool
 
-	lastUse     uint64 // cache clock at last touch (LRU)
-	sinceVerify int    // traceFor uses since the last checksum verification
+	lastUse uint64 // cache clock at last touch (LRU)
 }
 
 // maxTraceInsts caps the records retained per trace (16 B each: 48 MB).
@@ -147,8 +146,9 @@ type TraceCacheStats struct {
 	Resumes       int `json:"resumes"`        // oversized records streamed out once
 	LiveFallbacks int `json:"live_fallbacks"` // runs that re-emulated live
 	Evictions     int `json:"evictions"`      // traces dropped by the LRU budget
-	// ChecksumEvictions counts retained traces whose FNV-1a checksum no
-	// longer matched the record-time sum when a replay was requested.
+	// ChecksumEvictions counts retained traces whose checksum
+	// (emu.ChecksumRecs, verified on every stream or traceFor request) no
+	// longer matched the record-time sum.
 	// Each such trace is dropped and re-recorded once; a second mismatch
 	// fails the request. Nonzero means memory corruption (or a stray
 	// write through a stale slice) was caught before it skewed a run.
@@ -363,6 +363,68 @@ func (c *traceCache) evictLocked() {
 	}
 }
 
+// verifiedEntry returns the key's entry once its recording (or store
+// fault-in) has finished, and whether this request triggered it. Every
+// request re-verifies a retained trace against its record-time checksum
+// (outside the lock: the trace is immutable by contract, and this is
+// exactly the check that catches someone breaking that contract). On a
+// mismatch the entry is dropped and the key re-recorded once; a mismatch
+// on a request that has already retried means the corruption is not in
+// the retained bytes, and the request fails loudly.
+func (c *traceCache) verifiedEntry(k traceKey, retried bool) (*traceEntry, bool, error) {
+	for {
+		c.mu.Lock()
+		e := c.entries[k]
+		if e == nil {
+			e = &traceEntry{}
+			c.entries[k] = e
+		}
+		c.clock++
+		e.lastUse = c.clock
+		c.mu.Unlock()
+
+		recorded := false
+		e.once.Do(func() { recorded = true; e.record(k) })
+		if e.err != nil {
+			return nil, false, e.err
+		}
+		tr := e.tr
+		if tr == nil {
+			return e, recorded, nil
+		}
+		got := tr.Checksum()
+		if got == e.sum {
+			return e, recorded, nil
+		}
+		c.mu.Lock()
+		tcCtr().checksumEv.Inc()
+		if c.entries[k] == e {
+			delete(c.entries, k)
+			c.bytes -= tr.Bytes()
+		}
+		c.mu.Unlock()
+		if retried {
+			return nil, false, check.Violationf("cached-trace", 0,
+				"trace %s/%v corrupted again after re-record (sum %#x, want %#x)",
+				k.cipher, k.feat, got, e.sum)
+		}
+		retried = true
+	}
+}
+
+// countReplay classifies a request served from a retained trace. A store
+// fault-in counts as a hit even for the goroutine that triggered it: no
+// functional emulation was paid.
+func countReplay(e *traceEntry, recorded bool) {
+	ctr := tcCtr()
+	ctr.replays.Inc()
+	if recorded && !e.fromStore {
+		ctr.misses.Inc()
+	} else {
+		ctr.hits.Inc()
+	}
+}
+
 // stream returns an ooo.Stream delivering the key's committed-path
 // instruction stream, plus the static code length for I-cache warming.
 // Cached keys replay without re-running the emulator.
@@ -373,60 +435,18 @@ func (c *traceCache) stream(k traceKey) (ooo.Stream, int, error) {
 // streamChecked is stream with the retry-once state of the checksum
 // recovery path made explicit.
 func (c *traceCache) streamChecked(k traceKey, retried bool) (ooo.Stream, int, error) {
-	c.mu.Lock()
-	e := c.entries[k]
-	if e == nil {
-		e = &traceEntry{}
-		c.entries[k] = e
+	e, recorded, err := c.verifiedEntry(k, retried)
+	if err != nil {
+		return nil, 0, err
 	}
-	c.clock++
-	e.lastUse = c.clock
-	c.mu.Unlock()
-
-	recorded := false
-	e.once.Do(func() { recorded = true; e.record(k) })
-	if e.err != nil {
-		return nil, 0, e.err
-	}
-
-	c.mu.Lock()
 	// Hit/miss classification: a request that triggered the recording (or
 	// re-emulates live below) paid the functional emulation — a miss; any
 	// other request rides previously recorded state — a hit.
-	if tr := e.tr; tr != nil {
-		sum := e.sum
-		c.mu.Unlock()
-		// Re-verify the record-time checksum (outside the lock — the trace
-		// is immutable by contract, this is exactly the check that catches
-		// someone breaking that contract). On mismatch drop the entry and
-		// re-record once; a second mismatch means the corruption is not in
-		// the retained bytes and the request fails loudly.
-		if tr.Checksum() != sum {
-			c.mu.Lock()
-			tcCtr().checksumEv.Inc()
-			if c.entries[k] == e {
-				delete(c.entries, k)
-				c.bytes -= tr.Bytes()
-			}
-			c.mu.Unlock()
-			if retried {
-				return nil, 0, check.Violationf("cached-trace", 0,
-					"trace %s/%v corrupted again after re-record (sum %#x, want %#x)",
-					k.cipher, k.feat, tr.Checksum(), sum)
-			}
-			return c.streamChecked(k, true)
-		}
-		ctr := tcCtr()
-		ctr.replays.Inc()
-		// A store fault-in counts as a hit even for the goroutine that
-		// triggered it: no functional emulation was paid.
-		if recorded && !e.fromStore {
-			ctr.misses.Inc()
-		} else {
-			ctr.hits.Inc()
-		}
-		return tr.Stream(), e.codeLen, nil
+	if e.tr != nil {
+		countReplay(e, recorded)
+		return e.tr.Stream(), e.codeLen, nil
 	}
+	c.mu.Lock()
 	if s := e.resume; s != nil {
 		e.resume = nil // single-use
 		ctr := tcCtr()
@@ -456,79 +476,22 @@ func (c *traceCache) streamChecked(k traceKey, retried bool) (ooo.Stream, int, e
 // complete trace — oversized sessions and live-only keys — in which case
 // the caller must fall back to the serial stream path. Hit/miss traffic
 // is only counted when a trace is returned; the fallback path counts
-// itself when it calls stream.
+// itself when it calls stream. The trace is verified on every request,
+// as on the stream path.
 func (c *traceCache) traceFor(k traceKey) (*emu.Trace, int, error) {
-	return c.traceForChecked(k, false)
-}
-
-// traceForChecked is traceFor with the retry-once state of the checksum
-// recovery path made explicit (the same protocol as streamChecked).
-func (c *traceCache) traceForChecked(k traceKey, retried bool) (*emu.Trace, int, error) {
-	c.mu.Lock()
-	e := c.entries[k]
-	if e == nil {
-		e = &traceEntry{}
-		c.entries[k] = e
+	e, recorded, err := c.verifiedEntry(k, false)
+	if err != nil {
+		return nil, 0, err
 	}
-	c.clock++
-	e.lastUse = c.clock
-	c.mu.Unlock()
-
-	recorded := false
-	e.once.Do(func() { recorded = true; e.record(k) })
-	if e.err != nil {
-		return nil, 0, e.err
-	}
-
-	c.mu.Lock()
-	tr := e.tr
-	codeLen := e.codeLen
-	sum := e.sum
-	// Amortized integrity check: the chunk and sampling orchestrators call
-	// traceFor once per cell run, and hashing a multi-MB slab every time
-	// would dominate a sampled run that simulates only a few percent of it.
-	// Verify on the first use and every traceVerifyEvery-th use thereafter;
-	// the serial stream path keeps verifying every request.
-	e.sinceVerify++
-	verify := e.sinceVerify == 1 || e.sinceVerify > traceVerifyEvery
-	if e.sinceVerify > traceVerifyEvery {
-		e.sinceVerify = 1
-	}
-	c.mu.Unlock()
-	if tr == nil {
+	if e.tr == nil {
 		// Oversized or live-only: a recording triggered here still paid the
 		// emulation, but its one-shot resume stream is left for the serial
 		// fallback, which does its own accounting.
-		return nil, codeLen, nil
+		return nil, e.codeLen, nil
 	}
-	if verify && tr.Checksum() != sum {
-		c.mu.Lock()
-		tcCtr().checksumEv.Inc()
-		if c.entries[k] == e {
-			delete(c.entries, k)
-			c.bytes -= tr.Bytes()
-		}
-		c.mu.Unlock()
-		if retried {
-			return nil, 0, check.Violationf("cached-trace", 0,
-				"trace %s/%v corrupted again after re-record (sum %#x, want %#x)",
-				k.cipher, k.feat, tr.Checksum(), sum)
-		}
-		return c.traceForChecked(k, true)
-	}
-	ctr := tcCtr()
-	ctr.replays.Inc()
-	if recorded && !e.fromStore {
-		ctr.misses.Inc()
-	} else {
-		ctr.hits.Inc()
-	}
-	return tr, codeLen, nil
+	countReplay(e, recorded)
+	return e.tr, e.codeLen, nil
 }
-
-// traceVerifyEvery is the re-verification period of traceFor's amortized
-// checksum check.
-const traceVerifyEvery = 64
 
 // reserveChunkBytes accounts a chunk warmup-window copy against the trace
 // cache's byte budget: the copies are trace memory that lives exactly as

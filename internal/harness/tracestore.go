@@ -130,8 +130,8 @@ func storeKeyFor(k traceKey) (string, error) {
 // encodeRecs packs trace records into the on-disk payload: per record,
 // Addr as LE64 then (Idx | Br<<32) as LE64 — the exact byte sequence
 // emu.ChecksumRecs hashes, so the store's payload checksum IS the trace
-// checksum (pinned by TestStorePayloadChecksumIsTraceChecksum). One FNV-1a
-// sum therefore serves file integrity on disk and replay integrity in
+// checksum (pinned by TestStorePayloadChecksumIsTraceChecksum). One
+// wordsum therefore serves file integrity on disk and replay integrity in
 // memory.
 func encodeRecs(recs []emu.TraceRec) []byte {
 	b := make([]byte, len(recs)*emu.TraceRecBytes)

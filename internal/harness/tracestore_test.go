@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"hash/fnv"
 	"os"
 	"testing"
 
@@ -9,6 +8,7 @@ import (
 	"cryptoarch/internal/isa"
 	"cryptoarch/internal/ooo"
 	"cryptoarch/internal/store"
+	"cryptoarch/internal/wordsum"
 )
 
 // installTempStore opens a fresh store in a temp directory, installs it
@@ -30,7 +30,7 @@ func installTempStore(t *testing.T) *store.Store {
 }
 
 // TestStorePayloadChecksumIsTraceChecksum pins the contract encodeRecs
-// promises: the FNV-1a sum of the on-disk payload bytes IS the trace
+// promises: the wordsum of the on-disk payload bytes IS the trace
 // checksum emu.ChecksumRecs computes over the records, so one sum serves
 // both file integrity and replay integrity.
 func TestStorePayloadChecksumIsTraceChecksum(t *testing.T) {
@@ -44,10 +44,10 @@ func TestStorePayloadChecksumIsTraceChecksum(t *testing.T) {
 	if len(payload) != len(recs)*emu.TraceRecBytes {
 		t.Fatalf("payload is %d bytes, want %d", len(payload), len(recs)*emu.TraceRecBytes)
 	}
-	h := fnv.New64a()
-	h.Write(payload)
-	if h.Sum64() != emu.ChecksumRecs(recs) {
-		t.Fatalf("payload checksum %#x != trace checksum %#x", h.Sum64(), emu.ChecksumRecs(recs))
+	for n := 0; n <= len(recs); n++ {
+		if got, want := wordsum.Bytes(payload[:n*emu.TraceRecBytes]), emu.ChecksumRecs(recs[:n]); got != want {
+			t.Fatalf("%d records: payload checksum %#x != trace checksum %#x", n, got, want)
+		}
 	}
 	back, ok := decodeRecs(payload)
 	if !ok || len(back) != len(recs) {

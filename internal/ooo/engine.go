@@ -84,20 +84,22 @@ const (
 	stDone
 )
 
-// entry is one reorder-buffer slot. The layout is packed (96 bytes on
+// entry is one reorder-buffer slot. The layout is packed (88 bytes on
 // amd64): fetch rewrites the whole struct once per instruction and commit
 // walks the ring in order, so entry size is raw bandwidth in the hottest
 // loops. Per-entry cycle stamps are uint32 — Run aborts before the global
-// cycle counter could truncate.
+// cycle counter could truncate. Static facts live in the engine's decode
+// table (decode.go), referenced by st, so the entry holds no pointers and
+// the garbage collector never scans a ring.
 type entry struct {
 	seq          uint64
-	inst         *isa.Inst
 	addr         uint64
 	storeOrdinal uint64 // for stores: position in store order (1-based)
 	dataProd     uint64 // stores: seq+1 of the data producer (0 if ready)
 	needStores   uint64 // loads: stores that must have known addresses
 
-	idx         int32
+	idx         int32 // PC
+	st          int32 // index of the static decode (Engine.dec.statics)
 	pendingDeps int32
 	// Waiting dependents as a pooled intrusive list (engine.consPool,
 	// 1-based node indices; 0 = none). The zero value is an empty list, so
@@ -111,9 +113,8 @@ type entry struct {
 
 	size            uint8
 	state           uint8
-	kind            uint8 // FU kind (kindOf), computed once at fetch
+	kind            uint8 // FU kind (kindOf), copied from the decode
 	isLoad, isStore bool
-	sboxToDCache    bool // SBOX routed through a D-cache port
 	memBlocked      bool // waiting on store-address ordering
 	mispred         bool
 	memLevel        uint8 // deepest miss level of this entry's data access
@@ -139,29 +140,6 @@ const (
 	kindSbox0 // + architectural table number
 	fuKinds   = kindSbox0 + 16
 )
-
-// kindOf classifies an entry by the resource pool it issues to.
-func kindOf(en *entry) int {
-	op := en.inst.Op
-	switch {
-	case op == isa.OpSBOX && !en.sboxToDCache:
-		return kindSbox0 + int(en.inst.Sel1)
-	case en.isLoad || en.isStore || op == isa.OpSBOX:
-		return kindDPort
-	case op == isa.OpMULQ || op == isa.OpUMULH:
-		return kindMul64
-	case op == isa.OpMULL || op == isa.OpMULMOD:
-		return kindMul32
-	case op == isa.OpROLQ || op == isa.OpRORQ || op == isa.OpROLL || op == isa.OpRORL ||
-		op == isa.OpROLXL || op == isa.OpRORXL || op == isa.OpROLXQ || op == isa.OpRORXQ ||
-		op == isa.OpXBOX:
-		return kindRot
-	case op == isa.OpHALT || op == isa.OpNOP || op == isa.OpSBOXSYNC:
-		return kindNone
-	default:
-		return kindIALU
-	}
-}
 
 // consNode is one element of a pooled consumer list (entry.consHead).
 // Nodes for every in-flight list live in Engine.consPool; freed lists are
@@ -252,6 +230,8 @@ type Engine struct {
 
 	sboxCaches []sboxCache
 
+	// Static decode table (decode.go), recycled across engines.
+	dec        *decodeTable
 	srcScratch [4]isa.Reg
 
 	// Per-cycle resource usage.
@@ -327,6 +307,7 @@ func NewEngine(cfg Config, src Stream) *Engine {
 	}
 	e.rob = getRing(nextPow2(capHint))
 	e.consPool = getConsPool()
+	e.dec = getDecodeTable()
 	e.fetchQ = make([]uint64, nextPow2(e.fetchQueueCap()))
 	return e
 }
@@ -579,6 +560,8 @@ func (e *Engine) run() (*Stats, error) {
 	e.rob = nil
 	putConsPool(e.consPool)
 	e.consPool = nil
+	decodeTables.Put(e.dec)
+	e.dec = nil
 	return &e.stats, nil
 }
 
@@ -642,7 +625,7 @@ func (e *Engine) complete(s uint64) {
 	en := e.at(s)
 	en.state = stDone
 	if e.tracer != nil {
-		e.tracer.Event(TraceWriteback, e.cycle, s, int(en.idx), en.inst)
+		e.tracer.Event(TraceWriteback, e.cycle, s, int(en.idx), e.dec.statics[en.st].inst)
 	}
 	rob, mask := e.rob, uint64(len(e.rob)-1)
 	pool := e.consPool
@@ -755,7 +738,7 @@ func (e *Engine) commit() bool {
 			e.memOps--
 		}
 		if e.tracer != nil {
-			e.tracer.Event(TraceCommit, e.cycle, en.seq, int(en.idx), en.inst)
+			e.tracer.Event(TraceCommit, e.cycle, en.seq, int(en.idx), e.dec.statics[en.st].inst)
 		}
 		if e.profPCs != nil {
 			e.profPCs[en.idx].Retired++
@@ -936,20 +919,19 @@ func (e *Engine) reserve(k int) {
 	}
 }
 
-// latency returns the execution latency of an issued entry, consulting the
-// memory system for loads/SBOX accesses.
-func (e *Engine) latency(en *entry) uint64 {
-	op := en.inst.Op
+// latency returns the execution latency of an issued entry with decode s,
+// consulting the memory system for loads/SBOX accesses.
+func (e *Engine) latency(en *entry, s *static) uint64 {
 	switch {
-	case op == isa.OpSBOX:
+	case s.sbox:
 		e.stats.SboxAccesses++
-		if en.sboxToDCache {
+		if s.sboxToDCache {
 			if e.cfg.PerfectMem {
 				return core.LatSboxDCache
 			}
 			return e.dataAccessClassified(en)
 		}
-		return e.sboxAccess(en)
+		return e.sboxAccess(en, s.inst.Sel1)
 	case en.isLoad:
 		if e.cfg.PerfectMem {
 			return core.LatLoadAgen + core.LatDCacheAccess
@@ -960,14 +942,8 @@ func (e *Engine) latency(en *entry) uint64 {
 			e.mem.dataAccess(en.addr, e.cycle) // allocate/dirty the line
 		}
 		return 1
-	case op == isa.OpMULQ || op == isa.OpUMULH:
-		return core.LatMul64
-	case op == isa.OpMULL:
-		return core.LatMul32
-	case op == isa.OpMULMOD:
-		return core.LatMulMod
 	default:
-		return 1
+		return uint64(s.lat)
 	}
 }
 
@@ -988,13 +964,14 @@ func (e *Engine) dataAccessClassified(en *entry) uint64 {
 }
 
 // sboxAccess models the dedicated SBox caches: single-tag sector caches
-// that demand-fetch 32-byte sectors from the data cache.
-func (e *Engine) sboxAccess(en *entry) uint64 {
+// that demand-fetch 32-byte sectors from the data cache. table is the
+// SBOX's architectural table number.
+func (e *Engine) sboxAccess(en *entry, table uint8) uint64 {
 	if e.cfg.PerfectMem {
 		e.stats.SboxHits++
 		return core.LatSboxCache
 	}
-	c := &e.sboxCaches[en.inst.Sel1]
+	c := &e.sboxCaches[table]
 	base := en.addr & core.SboxAlignMask
 	if !c.hasTag || c.tag != base {
 		c.tag, c.hasTag, c.valid = base, true, 0
@@ -1040,10 +1017,11 @@ func (e *Engine) issue() bool {
 			e.readyMask &^= 1 << uint(best)
 		}
 		en := &rob[bestSeq&rmask]
+		st := &e.dec.statics[en.st]
 		e.reserve(best)
 		en.state = stIssued
 		en.issueDelayed = e.cycle > uint64(en.readyCycle)
-		lat := e.latency(en)
+		lat := e.latency(en, st)
 		if e.profPCs != nil {
 			e.profPCs[en.idx].ExecCycles += lat
 		}
@@ -1051,13 +1029,13 @@ func (e *Engine) issue() bool {
 		e.completions.schedule(e.cycle, uint64(en.doneCycle), bestSeq)
 		issued++
 		if e.tracer != nil {
-			e.tracer.Event(TraceIssue, e.cycle, bestSeq, int(en.idx), en.inst)
+			e.tracer.Event(TraceIssue, e.cycle, bestSeq, int(en.idx), st.inst)
 		}
 		if en.isStore {
 			e.storeIssued[en.storeOrdinal&uint64(len(e.storeIssued)-1)] = true
 			e.advanceStoreKnown()
 		}
-		if en.inst.Op == isa.OpSBOXSYNC {
+		if st.sboxSync {
 			for i := range e.sboxCaches {
 				e.sboxCaches[i].valid = 0
 			}
@@ -1135,30 +1113,25 @@ func (e *Engine) dispatch() bool {
 // wireDependencies computes register and memory-ordering dependencies for
 // a newly dispatched entry.
 func (e *Engine) wireDependencies(en *entry) {
+	st := &e.dec.statics[en.st]
 	en.dispatchCycle = uint32(e.cycle)
 	e.stats.Instructions++
-	e.stats.ClassCounts[en.inst.Class]++
+	e.stats.ClassCounts[st.class]++
 	if e.tracer != nil {
-		e.tracer.Event(TraceDispatch, e.cycle, en.seq, int(en.idx), en.inst)
+		e.tracer.Event(TraceDispatch, e.cycle, en.seq, int(en.idx), st.inst)
 	}
 
 	rob, mask := e.rob, uint64(len(e.rob)-1)
-	srcs := en.inst.Sources(e.srcScratch[:0])
 	if en.isStore {
-		// A store issues (and publishes its address) as soon as the base
-		// register is ready; the data value only gates loads that forward
-		// from it. Track the data producer separately.
-		srcs = srcs[:0]
-		if en.inst.Rb != isa.RZ {
-			srcs = append(srcs, en.inst.Rb)
-		}
-		if p := e.regProducer[en.inst.Ra]; p != 0 && p-1 >= e.headSeq {
+		// The store's own sources are its base register only; the data
+		// producer is tracked separately (see static.data).
+		if p := e.regProducer[st.data]; p != 0 && p-1 >= e.headSeq {
 			if pe := &rob[(p-1)&mask]; pe.seq == p-1 && pe.state != stDone {
 				en.dataProd = p // seq+1 of the store-data producer
 			}
 		}
 	}
-	for _, r := range srcs {
+	for _, r := range st.srcs[:st.nsrcs] {
 		p := e.regProducer[r]
 		if p == 0 {
 			continue
@@ -1170,7 +1143,7 @@ func (e *Engine) wireDependencies(en *entry) {
 		e.addConsumer(pe, en.seq)
 		en.pendingDeps++
 	}
-	if d := en.inst.Dest(); d != isa.RZ {
+	if d := st.dest; d != isa.RZ {
 		e.regProducer[d] = en.seq + 1
 	}
 
@@ -1272,17 +1245,19 @@ func (e *Engine) fetch() bool {
 		e.tailSeq++
 		en := &rob[seq&rmask]
 		// Every field is stored directly: a composite literal would build
-		// the 96-byte struct in a temporary and duffcopy it into the ring.
+		// the 88-byte struct in a temporary and duffcopy it into the ring.
 		// consHead/consTail must be reset too — rings recycled by growROB
 		// mid-run carry entries whose lists were still live when the ring
 		// was swapped out.
+		si := e.staticOf(rec)
+		st := &e.dec.statics[si]
 		en.seq = seq
-		en.inst = rec.Inst
 		en.addr = rec.Addr
 		en.storeOrdinal = 0
 		en.dataProd = 0
 		en.needStores = 0
 		en.idx = int32(rec.Idx)
+		en.st = si
 		en.pendingDeps = 0
 		en.consHead, en.consTail = 0, 0
 		en.fetchCycle = uint32(e.cycle)
@@ -1291,24 +1266,13 @@ func (e *Engine) fetch() bool {
 		en.doneCycle = 0
 		en.size = rec.Size
 		en.state = stWaiting
-		p := isa.P(rec.Inst.Op)
-		en.isStore = p.Store
-		en.isLoad = p.Load && rec.Inst.Op != isa.OpSBOX
-		en.sboxToDCache = false
+		en.kind = st.kind
+		en.isStore = st.isStore
+		en.isLoad = st.isLoad
 		en.memBlocked = false
 		en.mispred = false
 		en.memLevel = memHit
 		en.issueDelayed = false
-		if rec.Inst.Op == isa.OpSBOX {
-			if rec.Inst.Aliased {
-				// Aliased SBOX behaves as a load with optimized agen.
-				en.isLoad = true
-				en.sboxToDCache = true
-			} else if int(rec.Inst.Sel1) >= e.cfg.NumSboxCaches {
-				en.sboxToDCache = true
-			}
-		}
-		en.kind = uint8(kindOf(en))
 		e.fetchQ[e.fqTail&mask] = seq
 		e.fqTail++
 		e.pending = nil
@@ -1318,7 +1282,7 @@ func (e *Engine) fetch() bool {
 		}
 
 		// Branch handling.
-		if p.Branch {
+		if st.branch {
 			e.stats.Branches++
 			correct := e.cfg.PerfectBpred ||
 				e.bp.predict(rec.Idx, rec.Inst, rec.Taken, rec.Targ)
@@ -1334,7 +1298,7 @@ func (e *Engine) fetch() bool {
 		// Fetch-bandwidth accounting.
 		if !inf(e.cfg.FetchWidth) {
 			inBlock++
-			endBlock := inBlock >= e.cfg.FetchWidth || (p.Branch && rec.Taken)
+			endBlock := inBlock >= e.cfg.FetchWidth || (st.branch && rec.Taken)
 			if endBlock {
 				blocks++
 				inBlock = 0

@@ -1,7 +1,9 @@
 package ooo
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"cryptoarch/internal/isa"
 	"cryptoarch/internal/kernels"
@@ -113,4 +115,20 @@ func TestDFZeroAllocs(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("DF: steady-state loop allocates %.2f allocs per 250-cycle window, want 0", avg)
 	}
+}
+
+// TestEntryPointerFree pins that a reorder-buffer entry holds no pointers:
+// static facts are reached through the decode-table index, so the garbage
+// collector never scans the (for DF, tens of MB) rings.
+func TestEntryPointerFree(t *testing.T) {
+	typ := reflect.TypeOf(entry{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Bool, reflect.Int32, reflect.Uint8, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("entry.%s has kind %s; ROB entries must stay pointer-free scalars", f.Name, f.Type.Kind())
+		}
+	}
+	t.Logf("entry is %d bytes", unsafe.Sizeof(entry{}))
 }

@@ -27,7 +27,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -38,13 +37,19 @@ import (
 	"time"
 
 	"cryptoarch/internal/metrics"
+	"cryptoarch/internal/wordsum"
 )
 
 // SchemaVersion identifies the on-disk entry format and key schema. It is
 // hashed into every key and stamped into MANIFEST.json; bumping it makes
 // every old entry unreachable and makes Open refuse old directories with
-// ErrStale rather than silently mixing formats.
-const SchemaVersion = 1
+// ErrStale rather than silently mixing formats. Version 2 checksums
+// payloads with wordsum.Bytes instead of FNV-1a.
+//
+// A trace-tier payload is encoded so that its wordsum.Bytes equals
+// emu.ChecksumRecs of the decoded records (pinned by a harness test), so
+// one hash serves both file integrity and trace identity.
+const SchemaVersion = 2
 
 // ErrStale marks a store directory whose manifest disagrees with this
 // binary's schema (or a populated directory with no manifest at all).
@@ -78,18 +83,8 @@ func (t Tier) String() string { return t.dir() }
 // Entry file layout: a 24-byte header followed by the payload.
 const (
 	entryMagic  = "simstor1"
-	headerBytes = 24 // magic(8) | payload len LE64 | FNV-1a sum LE64
+	headerBytes = 24 // magic(8) | payload len LE64 | wordsum.Bytes(payload) LE64
 )
-
-// checksum is the payload integrity hash: FNV-1a 64-bit, the repo-wide
-// standard. For trace-tier entries the payload encoding is chosen so this
-// equals emu.ChecksumRecs of the decoded records (pinned by a harness
-// test), so one hash serves both file integrity and trace identity.
-func checksum(payload []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(payload)
-	return h.Sum64()
-}
 
 // manifest is the MANIFEST.json shape.
 type manifest struct {
@@ -288,7 +283,7 @@ func (s *Store) Len() int {
 	return len(s.entries)
 }
 
-// Get loads an entry's payload, verifying the header and FNV-1a checksum.
+// Get loads an entry's payload, verifying the header and wordsum checksum.
 // A missing entry is a plain miss. A corrupted or truncated entry is
 // deleted from disk, counted on the corrupt counter, and reported as a
 // miss — the caller re-records and Puts, so corruption costs exactly one
@@ -326,7 +321,7 @@ func (s *Store) Get(t Tier, key string) (payload []byte, sum uint64, ok bool) {
 	}
 	payload = data[headerBytes:]
 	sum = binary.LittleEndian.Uint64(data[16:24])
-	if checksum(payload) != sum {
+	if wordsum.Bytes(payload) != sum {
 		s.dropCorrupt(t, key, path)
 		return nil, 0, false
 	}
@@ -413,7 +408,7 @@ func (s *Store) Put(t Tier, key string, payload []byte) error {
 	buf := make([]byte, headerBytes+len(payload))
 	copy(buf, entryMagic)
 	binary.LittleEndian.PutUint64(buf[8:16], uint64(len(payload)))
-	binary.LittleEndian.PutUint64(buf[16:24], checksum(payload))
+	binary.LittleEndian.PutUint64(buf[16:24], wordsum.Bytes(payload))
 	copy(buf[headerBytes:], payload)
 	if err := s.writeFileAtomic(s.EntryPath(t, key), buf); err != nil {
 		s.degrade(err)

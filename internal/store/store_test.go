@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"cryptoarch/internal/isa"
 	"cryptoarch/internal/metrics"
+	"cryptoarch/internal/wordsum"
 )
 
 // withCounters installs a live scratch registry for the duration of a test
@@ -42,8 +44,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if string(got) != string(payload) {
 		t.Fatalf("payload mangled: %q", got)
 	}
-	if sum != checksum(payload) {
-		t.Fatalf("sum %#x, want %#x", sum, checksum(payload))
+	if sum != wordsum.Bytes(payload) {
+		t.Fatalf("sum %#x, want %#x", sum, wordsum.Bytes(payload))
 	}
 	// The tiers are separate namespaces.
 	if _, _, ok := s.Get(TierResult, "aaaa"); ok {
@@ -117,6 +119,48 @@ func TestCorruptionBitFlip(t *testing.T) {
 	}
 	if st := ReadStats(); st.Corrupt != 1 {
 		t.Fatalf("corrupt counter moved on the healed entry: %+v", st)
+	}
+}
+
+// TestResultTailChecksum pins the checksum's byte tail: result-tier
+// payloads are JSON of any length, so a payload whose length is not a
+// multiple of 8 must round-trip, and a bit flipped in one of its tail
+// bytes (the zero-padded final word) must be caught on load.
+func TestResultTailChecksum(t *testing.T) {
+	withCounters(t)
+	s := openTemp(t, 1<<20)
+	corrupt := 0
+	for _, n := range []int{1, 7, 9, 15, 33, 63} {
+		payload := []byte(strings.Repeat("{\"cycles\":12345}", 8)[:n])
+		key := fmt.Sprintf("tail%d", n)
+		if err := s.Put(TierResult, key, payload); err != nil {
+			t.Fatal(err)
+		}
+		got, sum, ok := s.Get(TierResult, key)
+		if !ok || string(got) != string(payload) || sum != wordsum.Bytes(payload) {
+			t.Fatalf("%d-byte payload did not round-trip (ok=%v sum=%#x)", n, ok, sum)
+		}
+		for bit := 0; bit < 8; bit++ {
+			path := s.EntryPath(TierResult, key)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[len(raw)-1] ^= 1 << bit
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, ok := s.Get(TierResult, key); ok {
+				t.Fatalf("%d-byte payload: flipped bit %d of the last byte was not caught", n, bit)
+			}
+			corrupt++
+			if err := s.Put(TierResult, key, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if st := ReadStats(); st.Corrupt != corrupt {
+		t.Fatalf("stats %+v: want %d corrupt entries", st, corrupt)
 	}
 }
 
@@ -216,12 +260,17 @@ func TestReopenPersists(t *testing.T) {
 // another schema, and a populated directory with no manifest at all. An
 // empty no-manifest directory is a fresh store, not an error.
 func TestStaleManifest(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, manifestFile), []byte(`{"schema_version":99}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, 1<<20); !errors.Is(err, ErrStale) {
-		t.Fatalf("wrong-schema manifest: got %v, want ErrStale", err)
+	// Schema 1 is the FNV-1a-checksummed format this binary can no longer
+	// verify.
+	for _, v := range []int{1, 99} {
+		dir := t.TempDir()
+		m := fmt.Sprintf(`{"schema_version":%d}`, v)
+		if err := os.WriteFile(filepath.Join(dir, manifestFile), []byte(m), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir, 1<<20); !errors.Is(err, ErrStale) {
+			t.Fatalf("schema-%d manifest: got %v, want ErrStale", v, err)
+		}
 	}
 
 	dir2 := t.TempDir()
